@@ -30,5 +30,7 @@ pub use harness::{
     figure_main, maybe_run_cell, parse_kv, preset_by_name, run_cell, run_cell_subprocess,
     scaled_sweep, CellOutcome, CellRun, SweepConfig, MINE_STACK_BYTES,
 };
-pub use registry::{all_miner_names, miner_by_name};
+pub use registry::{
+    all_miner_names, miner, miner_by_name, MineCall, Miner, RunStats, DEFAULT_MINER,
+};
 pub use report::{write_csv, Row};

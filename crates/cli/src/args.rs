@@ -51,9 +51,18 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        self.require(key)?
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))
+        self.parse_opt(key)?
+            .ok_or_else(|| format!("missing --{key}"))
+    }
+
+    /// Optional value parsed to `T`; `None` when the flag is absent.
+    pub fn parse_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(key)
+            .map(|v| v.parse().map_err(|e| format!("bad --{key}: {e}")))
+            .transpose()
     }
 
     /// Optional value parsed to `T` with a default.
@@ -61,10 +70,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("bad --{key}: {e}")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
     /// Whether a bare flag was given.

@@ -18,7 +18,8 @@ use std::fmt;
 /// A CLI failure carrying its exit-code class.
 #[derive(Debug)]
 pub enum CliError {
-    /// Bad invocation (exit 2).
+    /// Bad invocation (exit 2); the message ends with a hint at the
+    /// command that helps.
     Usage(String),
     /// Malformed input or checkpoint (exit 3).
     Parse(String),
@@ -43,8 +44,9 @@ impl CliError {
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(m) => write!(f, "{m} (try 'fim help')"),
-            CliError::Parse(m) | CliError::Budget(m) | CliError::Other(m) => f.write_str(m),
+            CliError::Usage(m) | CliError::Parse(m) | CliError::Budget(m) | CliError::Other(m) => {
+                f.write_str(m)
+            }
         }
     }
 }
@@ -52,7 +54,7 @@ impl fmt::Display for CliError {
 /// Plain-`String` errors come from argument handling: usage class.
 impl From<String> for CliError {
     fn from(msg: String) -> Self {
-        CliError::Usage(msg)
+        usage(msg)
     }
 }
 
@@ -66,9 +68,9 @@ impl From<FimError> for CliError {
     }
 }
 
-/// Shorthand for building a usage error.
+/// Shorthand for building a usage error that hints at `fim help`.
 pub fn usage(msg: impl Into<String>) -> CliError {
-    CliError::Usage(msg.into())
+    CliError::Usage(format!("{} (try 'fim help')", msg.into()))
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //! exit codes (see [`errors`]). The argument parser is hand-rolled to keep
 //! the dependency set minimal.
 
+use fim_bench::{MineCall, Miner, RunStats, DEFAULT_MINER};
 use fim_core::{
-    apply_constraints_owned, mine_closed_with_orders, Budget, ClosedMiner, ConstraintSet, Density,
-    ItemCatalog, ItemOrder, MineOutcome, MiningResult, Representation, TransactionDatabase,
-    TransactionOrder, TripReason,
+    Budget, ConstraintSet, Density, ItemCatalog, ItemOrder, ItemSet, MineOutcome, MiningResult,
+    RecodedDatabase, Representation, TransactionDatabase, TransactionOrder, TripReason,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -26,16 +26,14 @@ use std::time::Duration;
 mod args;
 mod errors;
 mod observe;
-mod registry;
 
 use args::Args;
 use errors::{usage, CliError};
 use fim_obs::{
-    ConstraintMetrics, Counter, Counters, MetricsReport, PassMetrics, ProgressSnapshot,
-    ShardMetrics, SpillMetrics,
+    ConstraintMetrics, Counter, KernelMetrics, MetricsReport, ProgressSnapshot, ShardMetrics,
+    SpillMetrics,
 };
 use observe::ObsArgs;
-use registry::{all_miner_names, miner_by_name};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -71,7 +69,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "compare" => cmd_compare(&args),
         "trace-export" => cmd_trace_export(&args),
         "algos" => {
-            for name in all_miner_names() {
+            for name in fim_bench::all_miner_names() {
                 println!("{name}");
             }
             Ok(())
@@ -114,25 +112,16 @@ fn tx_order(args: &Args) -> Result<TransactionOrder, CliError> {
 /// `--max-sets` / `--degrade`. Unlimited when none are given.
 fn budget_from(args: &Args) -> Result<Budget, CliError> {
     let mut budget = Budget::unlimited();
-    if let Some(t) = args.get("timeout") {
-        let secs: f64 = t
-            .parse()
-            .map_err(|e| usage(format!("bad --timeout: {e}")))?;
+    if let Some(secs) = args.parse_opt::<f64>("timeout")? {
         if !secs.is_finite() || secs < 0.0 {
             return Err(usage("--timeout must be a non-negative number of seconds"));
         }
         budget = budget.with_timeout(Duration::from_secs_f64(secs));
     }
-    if let Some(n) = args.get("max-nodes") {
-        let nodes: usize = n
-            .parse()
-            .map_err(|e| usage(format!("bad --max-nodes: {e}")))?;
+    if let Some(nodes) = args.parse_opt("max-nodes")? {
         budget = budget.with_max_nodes(nodes);
     }
-    if let Some(n) = args.get("max-sets") {
-        let sets: usize = n
-            .parse()
-            .map_err(|e| usage(format!("bad --max-sets: {e}")))?;
+    if let Some(sets) = args.parse_opt("max-sets")? {
         budget = budget.with_max_closed_sets(sets);
     }
     if args.flag("degrade") {
@@ -144,28 +133,23 @@ fn budget_from(args: &Args) -> Result<Budget, CliError> {
     Ok(budget)
 }
 
-/// Splits a `-bitset`/`-gallop` registry suffix off an algorithm name, so
-/// `--algo eclat-bitset` reaches the same code path as
-/// `--algo eclat --rep bitset` (including `--stats`/`--metrics`).
-fn split_rep_suffix(algo: &str) -> (&str, Option<Representation>) {
-    match algo {
-        "ista-bitset" => ("ista", Some(Representation::Bitset)),
-        "eclat-bitset" => ("eclat", Some(Representation::Bitset)),
-        "eclat-gallop" => ("eclat", Some(Representation::Gallop)),
-        "declat-bitset" => ("declat", Some(Representation::Bitset)),
-        "declat-gallop" => ("declat", Some(Representation::Gallop)),
-        "carpenter-lists-bitset" => ("carpenter-lists", Some(Representation::Bitset)),
-        "carpenter-lists-gallop" => ("carpenter-lists", Some(Representation::Gallop)),
-        other => (other, None),
-    }
+/// Looks up `--algo NAME` in the miner registry.
+fn registered_miner(name: &str) -> Result<Miner, CliError> {
+    fim_bench::miner(name).map_err(|e| CliError::Usage(format!("{e} (try 'fim algos')")))
 }
 
+/// The in-memory batch path, and the one driver behind every option that
+/// does not stream: reads and recodes the input once, makes one mining
+/// call in which a budget, constraints (pushed or `--no-push`), and
+/// observability are each optional, then decodes, canonicalizes, applies
+/// `--maximal`, writes the result, and reports — the stderr summary line,
+/// and when asked the metrics document, the profile, and one ledger line.
+/// A tripped budget still writes the exact sets of the processed prefix
+/// and exits 4.
 fn cmd_mine(args: &Args) -> Result<(), CliError> {
-    let raw_algo = args.get("algo").unwrap_or("ista");
-    let (algo, name_rep) = split_rep_suffix(raw_algo);
+    let algo = args.get("algo").unwrap_or(DEFAULT_MINER);
     if args.flag("out-of-core") {
-        // the raw name, so 'ista-bitset --out-of-core' is rejected
-        return cmd_mine_oocore(args, raw_algo);
+        return cmd_mine_oocore(args, algo);
     }
     for f in ["mem-budget", "spill-dir", "resume-spill", "io-retries"] {
         if args.get(f).is_some() {
@@ -173,264 +157,199 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         }
     }
     if args.get("checkpoint").is_some() || args.get("resume").is_some() {
-        // the raw name, so 'ista-bitset --checkpoint' is rejected rather
-        // than silently streamed through the scalar kernel
-        return cmd_mine_stream(args, raw_algo);
+        return cmd_mine_stream(args, algo);
     }
-    let is_ista = matches!(algo, "ista" | "ista-par" | "ista-noprune" | "ista-plain");
-    for f in ["no-coalesce", "no-compact", "no-patricia"] {
-        if args.flag(f) && !is_ista {
-            return Err(usage(format!("--{f} is only available for ista variants")));
-        }
+    let mut miner = registered_miner(algo)?;
+    miner
+        .restrict_ista(
+            !args.flag("no-coalesce"),
+            !args.flag("no-compact"),
+            !args.flag("no-patricia"),
+        )
+        .map_err(usage)?;
+    if args.flag("no-prune") {
+        miner
+            .disable_pruning()
+            .map_err(|e| usage(format!("--no-prune: {e}")))?;
     }
     // `--threads N` selects the data-parallel miner with N shards
-    // (0 = one per available core); only meaningful for ista variants
-    let threads: Option<usize> = match args.get("threads") {
-        None => None,
-        Some(t) => Some(
-            t.parse()
-                .map_err(|e| usage(format!("bad --threads: {e}")))?,
-        ),
-    };
-    if threads.is_some() && !is_ista {
-        return Err(usage(format!("--threads is not available for '{algo}'")));
+    // (0 = one per available core)
+    if let Some(threads) = args.parse_opt("threads")? {
+        miner = miner
+            .into_parallel(threads)
+            .map_err(|e| usage(format!("--threads: {e}")))?;
     }
     let budget = budget_from(args)?;
-    if budget.degrade && (!is_ista || threads.is_some() || algo == "ista-par") {
+    if budget.degrade && !matches!(miner, Miner::Ista(_)) {
         return Err(usage(
             "--degrade is only available for the sequential ista miner",
         ));
     }
-    let plain = algo == "ista-plain" || args.flag("no-patricia");
-    if plain && (threads.is_some() || algo == "ista-par") {
-        return Err(usage(
-            "the uncompressed tree (--no-patricia / ista-plain) is sequential only",
-        ));
-    }
-    // `--rep auto` needs the database shape, so the load happens before
-    // miner construction (every flag-validation error above still fires
-    // without touching the input)
+    // `--rep auto` needs the database shape, so the input is read here,
+    // after every check that does not need it
     let db = load_db(args)?;
     let supp = resolve_supp(args, &db)?;
-    let rep = resolve_rep(args, name_rep, &db, algo, threads)?;
-    let ista_config = fim_ista::IstaConfig {
-        policy: if algo == "ista-noprune" || args.flag("no-prune") {
-            fim_ista::PrunePolicy::Never
-        } else {
-            fim_ista::IstaConfig::default().policy
-        },
-        coalesce: !args.flag("no-coalesce"),
-        compact: !args.flag("no-compact"),
-        patricia: !plain,
-        rep: rep.unwrap_or_default(),
-    };
-    let miner: Box<dyn ClosedMiner> = if is_ista {
-        match (threads, algo) {
-            (Some(t), _) => parallel_ista(t, ista_config),
-            (None, "ista-par") => parallel_ista(0, ista_config),
-            (None, _) => Box::new(fim_ista::IstaMiner::with_config(ista_config)),
-        }
-    } else if let Some(r) = rep {
-        if args.flag("no-prune") {
-            return Err(usage(format!("--no-prune is not available for '{algo}'")));
-        }
-        // resolve_rep only lets a kernel selection through for the
-        // kernelized enumeration miners
-        match algo {
-            "eclat" => Box::new(fim_baseline::EclatMiner::with_rep(r)),
-            "declat" => Box::new(fim_baseline::DEclatMiner::with_rep(r)),
-            "carpenter-lists" => Box::new(fim_carpenter::CarpenterListMiner::with_rep(r)),
-            other => return Err(usage(format!("--rep is not available for '{other}'"))),
-        }
-    } else {
-        // `--no-prune` maps the pruned algorithms to their ablation variants
-        let resolved = match (algo, args.flag("no-prune")) {
-            ("carpenter-table", true) => "carpenter-table-noprune",
-            (other, true) => {
-                return Err(usage(format!("--no-prune is not available for '{other}'")));
-            }
-            (other, false) => other,
-        };
-        miner_by_name(resolved)?
-    };
-    let obs_args = ObsArgs::from_args(args)?;
+    if let Some(rep) = rep_from(args, &db)? {
+        miner
+            .set_rep(rep)
+            .map_err(|e| usage(format!("--rep: {e}")))?;
+    }
     let constraints = constraints_from(args, &db)?;
-    if let Some(cs) = &constraints {
-        if args.flag("maximal") {
-            return Err(usage(
-                "--maximal cannot be combined with constraint flags (maximal sets are \
-                 derived from the unconstrained closed family)",
-            ));
-        }
-        let push = !args.flag("no-push");
-        if obs_args.any() {
-            if !budget.is_unlimited() {
-                return Err(usage(
-                    "--stats/--metrics/--progress/--profile cannot be combined with budget flags",
-                ));
-            }
-            if threads.is_some() || algo == "ista-par" {
-                return Err(usage(
-                    "constraint flags with --stats/--metrics run the sequential miners only",
-                ));
-            }
-            return mine_constrained_observed(
-                args,
-                &db,
-                supp,
-                algo,
-                ista_config,
-                rep,
-                &obs_args,
-                cs,
-                push,
-            );
-        }
-        if !budget.is_unlimited() {
-            return mine_governed(args, &db, supp, miner.as_ref(), &budget, Some((cs, push)));
-        }
-        let start = std::time::Instant::now();
-        let result = fim_core::mine_closed_constrained(
-            &db,
-            supp,
-            miner.as_ref(),
-            cs,
-            item_order(args)?,
-            tx_order(args)?,
-            push,
-        );
-        let elapsed = start.elapsed();
-        write_out(args, |w| {
-            fim_io::write_results(&result, &db, w).map_err(CliError::from)
-        })?;
-        eprintln!(
-            "{}: {} closed sets at supp >= {supp} under [{cs}] in {:.3}s",
-            miner.name(),
-            result.len(),
-            elapsed.as_secs_f64()
-        );
-        return Ok(());
+    let maximal = args.flag("maximal");
+    if constraints.is_some() && maximal {
+        return Err(usage(
+            "--maximal cannot be combined with constraint flags (maximal sets are \
+             derived from the unconstrained closed family)",
+        ));
     }
-    if obs_args.any() {
-        if !budget.is_unlimited() {
-            return Err(usage(
-                "--stats/--metrics/--progress/--profile cannot be combined with budget flags",
-            ));
-        }
-        return mine_observed(args, &db, supp, algo, threads, ista_config, rep, &obs_args);
-    }
-    if !budget.is_unlimited() {
-        return mine_governed(args, &db, supp, miner.as_ref(), &budget, None);
-    }
+    let push = !args.flag("no-push");
+    let obs_args = ObsArgs::from_args(args)?;
+    let mut obs = obs_args.build()?;
     let start = std::time::Instant::now();
-    let mut result = mine_closed_with_orders(
-        &db,
-        supp,
-        miner.as_ref(),
-        item_order(args)?,
-        tx_order(args)?,
-    );
-    let kind = if args.flag("maximal") {
+
+    obs.span_enter("recode");
+    let no_exclusion = ItemSet::empty();
+    let exclude = constraints.as_ref().map_or(&no_exclusion, |cs| &cs.exclude);
+    let recoded =
+        RecodedDatabase::prepare_excluding(&db, supp, item_order(args)?, tx_order(args)?, exclude);
+    obs.span_exit();
+    let transactions = recoded.num_transactions() as u64;
+
+    obs.span_enter("mine");
+    let dense = constraints.as_ref().map(|cs| cs.encode(recoded.recode()));
+    let (outcome, stats) = match &dense {
+        // a must-include item did not survive the recode: nothing can
+        // satisfy the constraints, so no miner runs
+        Some(None) => (
+            MineOutcome::complete(MiningResult::new()),
+            RunStats::default(),
+        ),
+        _ => {
+            let observed = obs.enabled();
+            let call = MineCall {
+                budget: (!budget.is_unlimited()).then_some(&budget),
+                constraints: dense.as_ref().and_then(Option::as_ref).map(|d| (d, push)),
+                obs: observed.then_some(&mut obs),
+            };
+            miner.run(&recoded, supp, call)
+        }
+    };
+    obs.span_exit();
+
+    obs.span_enter("report");
+    // the dense result is dropped as soon as it is decoded
+    let outcome = outcome.map_result(|r| {
+        let mut decoded = r.decode(recoded.recode());
+        decoded.canonicalize();
+        decoded
+    });
+    drop(recoded);
+    let (mut result, degradation, trip) = match outcome {
+        MineOutcome::Complete {
+            result,
+            degradation,
+        } => (result, degradation, None),
+        MineOutcome::Interrupted {
+            partial,
+            reason,
+            progress,
+        } => (partial, None, Some((reason, progress))),
+    };
+    let kind = if maximal {
         result = fim_core::maximal_from_closed(&result);
         "maximal"
     } else {
         "closed"
     };
-    let elapsed = start.elapsed();
     write_out(args, |w| {
         fim_io::write_results(&result, &db, w).map_err(CliError::from)
     })?;
-    eprintln!(
-        "{}: {} {kind} sets at supp >= {supp} in {:.3}s",
-        miner.name(),
-        result.len(),
-        elapsed.as_secs_f64()
-    );
-    Ok(())
+    obs.span_exit();
+    let seconds = start.elapsed().as_secs_f64();
+
+    if obs_args.any() {
+        if !stats.heartbeat_finished {
+            obs.finish(&ProgressSnapshot {
+                processed: trip.map_or(transactions, |(_, p)| p.processed),
+                total: Some(transactions),
+                pending: 0,
+                peak_nodes: stats.tree.map_or(0, |t| t.peak_nodes),
+                sets: result.len() as u64,
+            });
+        }
+        let mut report = MetricsReport::new(
+            miner.name(),
+            supp,
+            seconds,
+            result.len() as u64,
+            transactions,
+        );
+        report.counters = stats.counters;
+        report.transactions_distinct = stats.distinct_transactions;
+        report.tree = stats.tree;
+        report.passes = stats.passes;
+        report.shards = stats.shards;
+        report.kernel = miner
+            .rep()
+            .map(|rep| KernelMetrics::from_counters(rep.name(), &stats.counters));
+        report.constraint = constraints.as_ref().map(|cs| {
+            let pushed = push && miner.as_dyn().supports_constraints();
+            ConstraintMetrics::from_counters(cs.to_string(), pushed, &stats.counters)
+        });
+        obs_args.finalize(&mut obs, &mut report);
+        obs_args.emit_metrics(&report)?;
+        obs_args.emit_profile(&obs)?;
+        let exit = trip.map_or_else(|| "ok".to_owned(), |(reason, _)| reason.to_string());
+        obs_args.emit_ledger(args, &report, &obs, &exit)?;
+    }
+    if let Some(d) = degradation {
+        eprintln!(
+            "fim: degraded to fit the node budget: effective supp {} (requested {}, {} steps)",
+            d.effective_minsupp, d.requested_minsupp, d.steps
+        );
+    }
+    let name = miner.name();
+    match trip {
+        None => {
+            let under = constraints.map_or_else(String::new, |cs| format!(" under [{cs}]"));
+            eprintln!(
+                "{name}: {} {kind} sets at supp >= {supp}{under} in {seconds:.3}s",
+                result.len()
+            );
+            Ok(())
+        }
+        Some((reason, progress)) => Err(CliError::Budget(format!(
+            "{name} interrupted ({reason}) at progress {progress}; wrote {} {kind} sets with exact supports",
+            result.len()
+        ))),
+    }
 }
 
-/// Resolves `--rep auto|scalar|bitset|gallop` (and the `-bitset`/`-gallop`
-/// algorithm-name suffixes, which are the same selection spelled as a
-/// registry name) to a tid-set kernel.
+/// Resolves `--rep auto|scalar|bitset|gallop` to a tid-set kernel; `None`
+/// when the flag is absent.
 ///
 /// `auto` applies [`Representation::select`] to the density of the raw
 /// database — the same rule the library's `AutoMiner` applies after
 /// recoding; the pre-recode estimate is used here so the choice is made
-/// once, before any miner runs. `None` means no selection was made and the
-/// algorithm's default (scalar) kernel runs.
-///
-/// The kernelized algorithms are the sequential ista variants, eclat,
-/// declat, and carpenter-lists; everything else rejects an explicit
-/// selection. Note that ista has no galloping kernel (its epoch probe is
-/// already O(1)) and the plain layout has no bitset kernel: those
-/// combinations run the scalar path, as documented on
-/// [`fim_ista::IstaConfig`].
-fn resolve_rep(
-    args: &Args,
-    name_rep: Option<Representation>,
-    db: &TransactionDatabase,
-    algo: &str,
-    threads: Option<usize>,
-) -> Result<Option<Representation>, CliError> {
-    let flag = match args.get("rep") {
+/// once, before any miner runs.
+fn rep_from(args: &Args, db: &TransactionDatabase) -> Result<Option<Representation>, CliError> {
+    Ok(match args.get("rep") {
         None => None,
-        Some("auto") => {
-            let rows = db.num_transactions();
-            let cols = db.num_items();
-            let ones = db.total_occurrences() as u64;
-            let cells = rows as u64 * cols as u64;
-            let density = Density {
-                rows,
-                cols,
-                ones,
-                fill: if cells == 0 {
-                    0.0
-                } else {
-                    ones as f64 / cells as f64
-                },
-                avg_row_len: if rows == 0 {
-                    0.0
-                } else {
-                    ones as f64 / rows as f64
-                },
-            };
-            Some(Representation::select(&density))
-        }
+        Some("auto") => Some(Representation::select(&Density::new(
+            db.num_transactions(),
+            db.num_items(),
+            db.total_occurrences() as u64,
+        ))),
         Some(s) => Some(
             s.parse::<Representation>()
                 .map_err(|e| usage(format!("bad --rep: {e} (or auto)")))?,
         ),
-    };
-    if let (Some(f), Some(n)) = (flag, name_rep) {
-        if f != n {
-            return Err(usage(format!(
-                "--rep {f} conflicts with the '-{n}' algorithm-name suffix"
-            )));
-        }
-    }
-    let rep = flag.or(name_rep);
-    if rep.is_some() {
-        let kernelized = matches!(
-            algo,
-            "ista" | "ista-noprune" | "ista-plain" | "eclat" | "declat" | "carpenter-lists"
-        );
-        if threads.is_some() || algo == "ista-par" {
-            return Err(usage(
-                "--rep is not available for the parallel miner (the shards run the scalar kernel)",
-            ));
-        }
-        if !kernelized {
-            return Err(usage(format!(
-                "--rep is not available for '{algo}' (kernelized: ista, eclat, declat, carpenter-lists)"
-            )));
-        }
-    }
-    Ok(rep)
+    })
 }
 
-/// The constraint flags of `fim mine`. Kept in one place so the batch,
-/// governed, and observed paths (and the forbidden-flag lists of the
-/// streaming paths) agree on the spelling.
+/// The constraint flags of `fim mine`. Kept in one place so the batch
+/// driver and the forbidden-flag lists of the streaming paths agree on the
+/// spelling.
 const CONSTRAINT_FLAGS: [&str; 6] = [
     "include", "exclude", "min-size", "max-size", "min-area", "no-push",
 ];
@@ -471,13 +390,7 @@ fn constraints_from(
     cs.include = resolve("include")?;
     cs.exclude = resolve("exclude")?;
     cs.min_size = args.parse_or("min-size", 0)?;
-    cs.max_size = match args.get("max-size") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|e| usage(format!("bad --max-size: {e}")))?,
-        ),
-    };
+    cs.max_size = args.parse_opt("max-size")?;
     cs.min_area = args.parse_or("min-area", 0)?;
     cs.validate().map_err(usage)?;
     Ok(Some(cs))
@@ -509,91 +422,11 @@ fn resolve_supp_n(args: &Args, transactions: u64) -> Result<u32, CliError> {
     }
 }
 
-/// The governed batch path: mines under the budget, writes whatever result
-/// (complete, degraded, or the exact partial of the processed prefix) and
-/// exits 4 when a budget tripped.
-fn mine_governed(
-    args: &Args,
-    db: &TransactionDatabase,
-    supp: u32,
-    miner: &dyn ClosedMiner,
-    budget: &Budget,
-    constraints: Option<(&ConstraintSet, bool)>,
-) -> Result<(), CliError> {
-    let start = std::time::Instant::now();
-    let outcome = match constraints {
-        None => fim_core::mine_closed_governed(
-            db,
-            supp,
-            miner,
-            budget,
-            item_order(args)?,
-            tx_order(args)?,
-        ),
-        Some((cs, push)) => fim_core::mine_closed_constrained_governed(
-            db,
-            supp,
-            miner,
-            cs,
-            budget,
-            item_order(args)?,
-            tx_order(args)?,
-            push,
-        ),
-    };
-    let elapsed = start.elapsed();
-    let maximal = args.flag("maximal");
-    let kind = if maximal { "maximal" } else { "closed" };
-    match outcome {
-        MineOutcome::Complete {
-            mut result,
-            degradation,
-        } => {
-            if maximal {
-                result = fim_core::maximal_from_closed(&result);
-            }
-            write_out(args, |w| {
-                fim_io::write_results(&result, db, w).map_err(CliError::from)
-            })?;
-            if let Some(d) = degradation {
-                eprintln!(
-                    "fim: degraded to fit the node budget: effective supp {} (requested {}, {} steps)",
-                    d.effective_minsupp, d.requested_minsupp, d.steps
-                );
-            }
-            eprintln!(
-                "{}: {} {kind} sets at supp >= {supp} in {:.3}s",
-                miner.name(),
-                result.len(),
-                elapsed.as_secs_f64()
-            );
-            Ok(())
-        }
-        MineOutcome::Interrupted {
-            mut partial,
-            reason,
-            progress,
-        } => {
-            if maximal {
-                partial = fim_core::maximal_from_closed(&partial);
-            }
-            write_out(args, |w| {
-                fim_io::write_results(&partial, db, w).map_err(CliError::from)
-            })?;
-            Err(CliError::Budget(format!(
-                "{} interrupted ({reason}) at progress {progress}; wrote {} {kind} sets with exact supports",
-                miner.name(),
-                partial.len()
-            )))
-        }
-    }
-}
-
 /// The streaming path behind `--checkpoint` / `--resume`: feeds the input
 /// through an [`fim_ista::IstaStream`] one transaction at a time, so a
 /// budget trip leaves a resumable checkpoint and an exact prefix answer.
 fn cmd_mine_stream(args: &Args, algo: &str) -> Result<(), CliError> {
-    if algo != "ista" {
+    if algo != DEFAULT_MINER {
         return Err(usage(format!(
             "--checkpoint/--resume stream through the cumulative ista miner, not '{algo}'"
         )));
@@ -800,7 +633,7 @@ fn write_checkpoint_atomically(
 /// re-mining completed shards. `--io-retries N` retries transient I/O
 /// failures around each spill write before giving up.
 fn cmd_mine_oocore(args: &Args, algo: &str) -> Result<(), CliError> {
-    if algo != "ista" {
+    if algo != DEFAULT_MINER {
         return Err(usage(format!(
             "--out-of-core streams through the shard-spill ista pipeline, not '{algo}'"
         )));
@@ -960,333 +793,6 @@ fn cmd_mine_oocore(args: &Args, algo: &str) -> Result<(), CliError> {
     }
 }
 
-/// Builds a data-parallel ista miner carrying the sequential hot-path
-/// toggles over to its shards.
-fn parallel_ista(threads: usize, cfg: fim_ista::IstaConfig) -> Box<dyn ClosedMiner> {
-    Box::new(fim_ista::ParallelIstaMiner::with_config(
-        fim_ista::ParallelConfig {
-            threads,
-            policy: cfg.policy,
-            coalesce: cfg.coalesce,
-            compact: cfg.compact,
-        },
-    ))
-}
-
-/// The observed mining path behind `--stats`/`--metrics`/`--progress`/
-/// `--profile`: mines with an [`fim_obs::Obs`] handle threaded through the
-/// miner where supported (sequential ista records phase spans and emits
-/// the heartbeat from inside the transaction loop; the parallel, Carpenter
-/// and Eclat miners report their counters at the end), then writes one
-/// schema-versioned metrics JSON document and, if requested, a
-/// collapsed-stack profile.
-#[allow(clippy::too_many_arguments)]
-fn mine_observed(
-    args: &Args,
-    db: &TransactionDatabase,
-    supp: u32,
-    algo: &str,
-    threads: Option<usize>,
-    ista_config: fim_ista::IstaConfig,
-    rep: Option<Representation>,
-    obs_args: &ObsArgs,
-) -> Result<(), CliError> {
-    let mut obs = obs_args.build()?;
-    let start = std::time::Instant::now();
-    obs.span_enter("recode");
-    let recoded = fim_core::RecodedDatabase::prepare(db, supp, item_order(args)?, tx_order(args)?);
-    obs.span_exit();
-    let is_ista = matches!(algo, "ista" | "ista-par" | "ista-noprune" | "ista-plain");
-    let parallel = threads.is_some() || algo == "ista-par";
-    let mut report = MetricsReport::new("", supp, 0.0, 0, recoded.num_transactions() as u64);
-    obs.span_enter("mine");
-    // sequential ista drives the heartbeat itself; every other miner gets
-    // one final progress line after the fact
-    let mut heartbeat_done = false;
-    let res = if parallel {
-        let miner = fim_ista::ParallelIstaMiner::with_config(fim_ista::ParallelConfig {
-            threads: threads.unwrap_or(0),
-            policy: ista_config.policy,
-            coalesce: ista_config.coalesce,
-            compact: ista_config.compact,
-        });
-        let (res, stats) = miner.mine_with_stats(&recoded, supp);
-        report.miner = "ista-par";
-        // no cross-shard peak is tracked; the reduced tree's arena
-        // high-water (total slots) is the closest honest figure
-        report.tree = Some(stats.memory.to_metrics(stats.memory.total_slots));
-        report.shards = Some(ShardMetrics {
-            shards: stats.shards as u64,
-            recovered: stats.shards_recovered as u64,
-        });
-        report.counters = stats.counters;
-        res
-    } else if is_ista {
-        let miner = fim_ista::IstaMiner::with_config(ista_config);
-        let (res, stats) = miner.mine_with_obs(&recoded, supp, &mut obs);
-        report.miner = miner.name();
-        report.transactions_total = stats.total_transactions as u64;
-        report.transactions_distinct = Some(stats.distinct_transactions as u64);
-        report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
-        report.passes = Some(PassMetrics {
-            prune_passes: stats.prune_passes as u64,
-            compactions: stats.compactions as u64,
-        });
-        report.counters = stats.counters;
-        heartbeat_done = true;
-        res
-    } else {
-        let noprune = args.flag("no-prune");
-        let kernel_rep = rep.unwrap_or_default();
-        let (res, counters) = match (algo, noprune) {
-            ("carpenter-lists", false) => {
-                let miner = fim_carpenter::CarpenterListMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                miner.mine_with_stats(&recoded, supp)
-            }
-            ("carpenter-table", false) => {
-                report.miner = "carpenter-table";
-                fim_carpenter::CarpenterTableMiner::default().mine_with_stats(&recoded, supp)
-            }
-            ("carpenter-table", true) => {
-                report.miner = "carpenter-table-noprune";
-                fim_carpenter::CarpenterTableMiner::with_config(
-                    fim_carpenter::CarpenterConfig::unpruned(),
-                )
-                .mine_with_stats(&recoded, supp)
-            }
-            ("eclat", false) => {
-                let miner = fim_baseline::EclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                miner.mine_with_stats(&recoded, supp)
-            }
-            ("declat", false) => {
-                let miner = fim_baseline::DEclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                miner.mine_with_stats(&recoded, supp)
-            }
-            (other, _) => {
-                return Err(usage(format!(
-                    "--stats/--metrics/--progress/--profile are not available for '{other}'"
-                )));
-            }
-        };
-        report.counters = counters;
-        res
-    };
-    // the kernel section names the selected representation and its work
-    // counters; the parallel miner has no kernel selection and stays scalar
-    report.kernel = Some(fim_obs::KernelMetrics::from_counters(
-        rep.unwrap_or_default().name(),
-        &report.counters,
-    ));
-    obs.span_exit();
-    obs.span_enter("report");
-    let mut result = res.decode(recoded.recode());
-    result.canonicalize();
-    let kind = if args.flag("maximal") {
-        result = fim_core::maximal_from_closed(&result);
-        "maximal"
-    } else {
-        "closed"
-    };
-    write_out(args, |w| {
-        fim_io::write_results(&result, db, w).map_err(CliError::from)
-    })?;
-    obs.span_exit();
-    if !heartbeat_done {
-        obs.finish(&ProgressSnapshot {
-            processed: report.transactions_total,
-            total: Some(report.transactions_total),
-            pending: 0,
-            peak_nodes: report.tree.map_or(0, |t| t.peak_nodes),
-            sets: result.len() as u64,
-        });
-    }
-    report.seconds = start.elapsed().as_secs_f64();
-    report.sets = result.len() as u64;
-    obs_args.finalize(&mut obs, &mut report);
-    obs_args.emit_metrics(&report)?;
-    obs_args.emit_profile(&obs)?;
-    obs_args.emit_ledger(args, &report, &obs, "ok")?;
-    eprintln!(
-        "{}: {} {kind} sets at supp >= {supp} in {:.3}s",
-        report.miner,
-        result.len(),
-        report.seconds
-    );
-    Ok(())
-}
-
-/// The observed **constrained** mining path: like [`mine_observed`], but
-/// the recode projects out the excluded items, the miner runs its pushed
-/// search (or the post-filter when `--no-push` asked for the oracle path),
-/// and the metrics document gains the `constraint` section (the spec, the
-/// pushed/post-filtered disposition, and the `constraint_prunes` counter).
-#[allow(clippy::too_many_arguments)]
-fn mine_constrained_observed(
-    args: &Args,
-    db: &TransactionDatabase,
-    supp: u32,
-    algo: &str,
-    ista_config: fim_ista::IstaConfig,
-    rep: Option<Representation>,
-    obs_args: &ObsArgs,
-    cs: &ConstraintSet,
-    push: bool,
-) -> Result<(), CliError> {
-    let mut obs = obs_args.build()?;
-    let start = std::time::Instant::now();
-    obs.span_enter("recode");
-    let recoded = fim_core::RecodedDatabase::prepare_excluding(
-        db,
-        supp,
-        item_order(args)?,
-        tx_order(args)?,
-        &cs.exclude,
-    );
-    obs.span_exit();
-    let mut report = MetricsReport::new("", supp, 0.0, 0, recoded.num_transactions() as u64);
-    // counts the sets a post-filter pass drops, so the pushed and the
-    // post-filtered run report through the same counter slot
-    fn postfiltered(
-        res: MiningResult,
-        mut counters: Counters,
-        dense: &ConstraintSet,
-    ) -> (MiningResult, Counters) {
-        let before = res.sets.len();
-        let res = apply_constraints_owned(res, dense);
-        counters.add(Counter::ConstraintPrunes, (before - res.sets.len()) as u64);
-        (res, counters)
-    }
-    let dense = cs.encode(recoded.recode());
-    obs.span_enter("mine");
-    let kernel_rep = rep.unwrap_or_default();
-    let is_ista = matches!(algo, "ista" | "ista-noprune" | "ista-plain");
-    let (res, counters) = match &dense {
-        // a must-include item did not survive the frequency threshold (or
-        // the exclusion projection): nothing can satisfy, no miner runs
-        None => {
-            report.miner = miner_by_name(algo)?.name();
-            (MiningResult::new(), Counters::new())
-        }
-        Some(d) if is_ista => {
-            let miner = fim_ista::IstaMiner::with_config(ista_config);
-            report.miner = miner.name();
-            let (res, stats) = if push {
-                miner.mine_constrained_with_stats(&recoded, supp, d)
-            } else {
-                let (res, stats) = miner.mine_with_stats(&recoded, supp);
-                (apply_constraints_owned(res, d), stats)
-            };
-            report.transactions_total = stats.total_transactions as u64;
-            report.transactions_distinct = Some(stats.distinct_transactions as u64);
-            report.tree = Some(stats.memory.to_metrics(stats.peak_nodes));
-            report.passes = Some(PassMetrics {
-                prune_passes: stats.prune_passes as u64,
-                compactions: stats.compactions as u64,
-            });
-            (res, stats.counters)
-        }
-        Some(d) => match algo {
-            "carpenter-lists" => {
-                let miner = fim_carpenter::CarpenterListMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            "carpenter-table" => {
-                report.miner = "carpenter-table";
-                let miner = fim_carpenter::CarpenterTableMiner::default();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            "eclat" => {
-                let miner = fim_baseline::EclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            "declat" => {
-                let miner = fim_baseline::DEclatMiner::with_rep(kernel_rep);
-                report.miner = miner.name();
-                if push {
-                    miner.mine_constrained_with_stats(&recoded, supp, d)
-                } else {
-                    let (res, counters) = miner.mine_with_stats(&recoded, supp);
-                    postfiltered(res, counters, d)
-                }
-            }
-            other => {
-                return Err(usage(format!(
-                    "--stats/--metrics with constraint flags are not available for '{other}'"
-                )));
-            }
-        },
-    };
-    report.counters = counters;
-    let pushed = push
-        && matches!(
-            algo,
-            "ista"
-                | "ista-noprune"
-                | "ista-plain"
-                | "carpenter-lists"
-                | "carpenter-table"
-                | "eclat"
-                | "declat"
-        );
-    report.constraint = Some(ConstraintMetrics::from_counters(
-        cs.to_string(),
-        pushed,
-        &counters,
-    ));
-    report.kernel = Some(fim_obs::KernelMetrics::from_counters(
-        kernel_rep.name(),
-        &report.counters,
-    ));
-    obs.span_exit();
-    obs.span_enter("report");
-    let mut result = res.decode(recoded.recode());
-    result.canonicalize();
-    write_out(args, |w| {
-        fim_io::write_results(&result, db, w).map_err(CliError::from)
-    })?;
-    obs.span_exit();
-    obs.finish(&ProgressSnapshot {
-        processed: report.transactions_total,
-        total: Some(report.transactions_total),
-        pending: 0,
-        peak_nodes: report.tree.map_or(0, |t| t.peak_nodes),
-        sets: result.len() as u64,
-    });
-    report.seconds = start.elapsed().as_secs_f64();
-    report.sets = result.len() as u64;
-    obs_args.finalize(&mut obs, &mut report);
-    obs_args.emit_metrics(&report)?;
-    obs_args.emit_profile(&obs)?;
-    obs_args.emit_ledger(args, &report, &obs, "ok")?;
-    eprintln!(
-        "{}: {} closed sets at supp >= {supp} under [{cs}] in {:.3}s",
-        report.miner,
-        result.len(),
-        report.seconds
-    );
-    Ok(())
-}
-
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
     use fim_synth::Preset;
     let preset = match args.require("preset")? {
@@ -1314,9 +820,8 @@ fn cmd_rules(args: &Args) -> Result<(), CliError> {
     let supp: u32 = args.require_parsed("supp")?;
     let conf: f64 = args.parse_or("conf", 0.6)?;
     let db = load_db(args)?;
-    let algo = args.get("algo").unwrap_or("ista");
-    let miner = miner_by_name(algo)?;
-    let closed = fim_core::mine_closed(&db, supp, miner.as_ref());
+    let miner = registered_miner(args.get("algo").unwrap_or(DEFAULT_MINER))?;
+    let closed = fim_core::mine_closed(&db, supp, miner.as_dyn());
     let rules =
         fim_rules::RuleMiner::with_confidence(conf).derive(&closed, db.num_transactions() as u32);
     write_out(args, |w| {
@@ -1501,9 +1006,8 @@ USAGE:
              --ledger appends one fingerprinted fim-ledger/1 line per
              run (input FNV-1a, config, counters, per-phase self
              times, peak RSS, exit status) for 'fim compare';
-             available for the ista variants, carpenter-lists,
-             carpenter-table, eclat, and declat; stdout stays clean
-             result output throughout)
+             every miner, combinable with budgets and constraints;
+             stdout stays clean result output throughout)
             (budgets: --timeout caps wall-clock seconds, --max-nodes caps
              live prefix-tree nodes, --max-sets caps emitted sets; on a
              trip the exact sets of the processed prefix are written and

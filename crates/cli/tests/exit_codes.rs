@@ -81,15 +81,6 @@ fn usage_errors_exit_2() {
             "--supp",
             "1",
             "--algo",
-            "no-such-algo",
-            "--in",
-            &data("valid.fimi"),
-        ],
-        vec![
-            "mine",
-            "--supp",
-            "1",
-            "--algo",
             "eclat",
             "--in",
             &data("valid.fimi"),
@@ -100,6 +91,25 @@ fn usage_errors_exit_2() {
         let out = fim(&argv);
         assert_eq!(code(&out), 2, "argv {argv:?}: {}", stderr(&out));
         assert!(stderr(&out).contains("fim help"), "argv {argv:?}");
+    }
+}
+
+#[test]
+fn unknown_algorithm_hints_at_algos_once() {
+    for command in ["mine", "rules"] {
+        let out = fim(&[
+            command,
+            "--supp",
+            "1",
+            "--algo",
+            "no-such-algo",
+            "--in",
+            &data("valid.fimi"),
+        ]);
+        assert_eq!(code(&out), 2, "{command}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert_eq!(err.matches("(try '").count(), 1, "{command}: {err}");
+        assert!(err.contains("(try 'fim algos')"), "{command}: {err}");
     }
 }
 

@@ -304,13 +304,97 @@ fn compare_gates_regressions() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The output of `fim mine` for every registered miner is the same bytes
+/// with no option, with `--metrics`, and under a budget that never trips;
+/// every metrics document is schema-valid.
 #[test]
-fn observability_rejected_for_unsupported_algo_and_budgets() {
+fn every_algo_mines_identically_observed_and_governed() {
+    let dir = std::env::temp_dir().join(format!("fim_every_algo_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let algos = fim().arg("algos").output().unwrap();
+    let algos = String::from_utf8(algos.stdout).unwrap();
+    assert!(algos.lines().count() >= 20, "{algos}");
+    for algo in algos.lines() {
+        let plain = run_mine(&["--algo", algo]);
+        assert!(plain.status.success(), "{algo}");
+        assert_only_item_sets(&plain.stdout);
+        let path = dir.join(format!("metrics-{algo}.json"));
+        let observed = run_mine(&["--algo", algo, "--metrics", path.to_str().unwrap()]);
+        assert!(observed.status.success(), "{algo}");
+        assert_eq!(plain.stdout, observed.stdout, "{algo} --metrics");
+        let doc = std::fs::read_to_string(&path).unwrap();
+        fim_obs::validate_metrics_json(&doc).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let governed = run_mine(&["--algo", algo, "--timeout", "3600"]);
+        assert!(governed.status.success(), "{algo}");
+        assert_eq!(plain.stdout, governed.stdout, "{algo} --timeout");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A tripped budget is the run most worth seeing: it still writes the
+/// exact partial, the metrics document, and one ledger line naming the
+/// trip, and exits 4.
+#[test]
+fn tripped_budget_writes_metrics_and_ledger() {
+    let dir = std::env::temp_dir().join(format!("fim_trip_obs_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("data.fimi");
+    std::fs::write(&input, DATA).unwrap();
+    let (metrics, ledger, out) = (dir.join("m.json"), dir.join("l.jsonl"), dir.join("out.txt"));
+    let run = run_fim(&[
+        "mine",
+        "--supp",
+        "3",
+        "--in",
+        input.to_str().unwrap(),
+        "--timeout",
+        "0",
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        run.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(out.exists(), "the partial result must be written");
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    fim_obs::validate_metrics_json(&doc).unwrap_or_else(|e| panic!("{e}"));
+    let entries = fim_obs::read_ledger(&std::fs::read_to_string(&ledger).unwrap()).unwrap();
+    assert_eq!(entries.len(), 1);
+    assert_ne!(entries[0].exit, "ok");
+    assert!(entries[0].exit.contains("timeout"), "{}", entries[0].exit);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Observability combines with every miner, with budget flags, and with
+/// constraints on the parallel miner; each run mines what the plain run
+/// mines.
+#[test]
+fn observability_combines_with_every_algo_and_budgets() {
     let out = run_mine(&["--algo", "fpclose", "--stats"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("not available for 'fpclose'"));
+    assert!(out.status.success());
+    assert_eq!(out.stdout, run_mine(&["--algo", "fpclose"]).stdout);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("\"miner\": \"fpclose\""));
 
     let out = run_mine(&["--stats", "--timeout", "10"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("budget flags"));
+    assert!(out.status.success());
+    assert_eq!(out.stdout, run_mine(&[]).stdout);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("\"schema\": \"fim-metrics/2\""));
+
+    let constrained = ["--min-size", "2", "--stats"];
+    let out = run_mine(&[&constrained[..], &["--threads", "2"]].concat());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout, run_mine(&["--min-size", "2"]).stdout);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("\"constraint\": {\"spec\": "), "{err}");
 }

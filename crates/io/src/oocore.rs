@@ -310,6 +310,17 @@ mod tests {
     use fim_ista::IstaMiner;
     use std::path::PathBuf;
 
+    /// The fault registry is process-global and every pipeline run passes
+    /// its fault points, so every test here holds this lock: a point armed
+    /// by one test must never fire inside another test's run.
+    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+        fault::disarm_all();
+        guard
+    }
+
     const PAPER_FIMI: &str = "\
 a b c\n\
 a d e\n\
@@ -336,6 +347,7 @@ c d e\n";
 
     #[test]
     fn output_is_byte_identical_to_in_memory_run() {
+        let _g = serial();
         let dir = temp_dir("identity");
         let input = write_input(&dir, PAPER_FIMI);
         for mem_budget in [1u64, 80, 1 << 20] {
@@ -382,6 +394,7 @@ c d e\n";
 
     #[test]
     fn counts_match_materialized_read() {
+        let _g = serial();
         let dir = temp_dir("counts");
         let input = write_input(&dir, PAPER_FIMI);
         let counts = count_fimi_path(&input, &FimiLimits::default()).unwrap();
@@ -397,6 +410,7 @@ c d e\n";
 
     #[test]
     fn parse_errors_carry_line_numbers_through_the_cursor() {
+        let _g = serial();
         let dir = temp_dir("parse");
         let input = write_input(&dir, "a b\nc \x07 d\n");
         let err = mine_fimi_out_of_core(
@@ -414,9 +428,6 @@ c d e\n";
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    /// The fault registry is process-global; tests that arm it serialize.
-    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn oocore_run(input: &Path, spill: &Path, minsupp: u32, resume: bool) -> OutOfCoreRun {
         let counts = count_fimi_path(input, &FimiLimits::default()).unwrap();
@@ -436,8 +447,7 @@ c d e\n";
 
     #[test]
     fn enospc_leaves_a_resumable_manifest_and_resume_is_byte_identical() {
-        let _g = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm_all();
+        let _g = serial();
         let dir = temp_dir("resume");
         let input = write_input(&dir, PAPER_FIMI);
         let spill = dir.join("spill");
@@ -493,8 +503,7 @@ c d e\n";
 
     #[test]
     fn foreign_manifest_is_rejected_with_corrupt() {
-        let _g = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm_all();
+        let _g = serial();
         let dir = temp_dir("foreign");
         let input = write_input(&dir, PAPER_FIMI);
         let spill = dir.join("spill");
@@ -544,8 +553,7 @@ c d e\n";
 
     #[test]
     fn unverifiable_spills_are_re_mined_not_adopted() {
-        let _g = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm_all();
+        let _g = serial();
         let dir = temp_dir("unverif");
         let input = write_input(&dir, PAPER_FIMI);
         let spill = dir.join("spill");
@@ -581,6 +589,7 @@ c d e\n";
 
     #[test]
     fn stats_report_multiple_shards_on_tiny_budget() {
+        let _g = serial();
         let dir = temp_dir("shards");
         let input = write_input(&dir, PAPER_FIMI);
         let run = mine_fimi_out_of_core(

@@ -989,6 +989,17 @@ mod tests {
     use fim_core::reference::mine_reference;
     use fim_core::RecodedDatabase;
 
+    /// The fault registry is process-global and every pipeline run passes
+    /// its fault points, so every test here holds this lock: a point armed
+    /// by one test must never fire inside another test's run.
+    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        let guard = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+        fault::disarm_all();
+        guard
+    }
+
     fn paper_db() -> RecodedDatabase {
         RecodedDatabase::from_dense(
             vec![
@@ -1047,6 +1058,7 @@ mod tests {
 
     #[test]
     fn matches_reference_across_budgets_and_minsupps() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("ref");
         // budgets chosen to force 1, 2-3, and 8 shards on the paper db
@@ -1073,6 +1085,7 @@ mod tests {
 
     #[test]
     fn spill_round_trip_reports_identically() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("rt");
         fs::create_dir_all(&dir).unwrap();
@@ -1091,6 +1104,7 @@ mod tests {
 
     #[test]
     fn load_spill_names_the_corrupt_file() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("corrupt");
         fs::create_dir_all(&dir).unwrap();
@@ -1115,6 +1129,7 @@ mod tests {
 
     #[test]
     fn node_budget_trips_with_sound_partial_and_clean_dir() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("budget");
         let miner = OutOfCoreMiner::with_config(OutOfCoreConfig::new(1, &dir));
@@ -1161,6 +1176,7 @@ mod tests {
 
     #[test]
     fn empty_stream_mines_nothing() {
+        let _g = serial();
         let dir = temp_dir("empty");
         let miner = OutOfCoreMiner::with_config(OutOfCoreConfig::new(64, &dir));
         let (outcome, stats) = miner
@@ -1178,6 +1194,7 @@ mod tests {
 
     #[test]
     fn stats_expose_spill_counters() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("stats");
         let (outcome, stats) = mine_db(&db, 2, 1, &dir);
@@ -1266,6 +1283,7 @@ mod tests {
 
     #[test]
     fn stale_tmp_files_are_removed_at_startup() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("staletmp");
         fs::create_dir_all(&dir).unwrap();
@@ -1285,6 +1303,7 @@ mod tests {
 
     #[test]
     fn journal_records_every_spill_with_disjoint_base_intervals() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("journal");
         let mut j = VecJournal::default();
@@ -1315,8 +1334,7 @@ mod tests {
 
     #[test]
     fn enospc_degrades_to_an_exact_partial_and_resume_completes_it() {
-        let _g = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm_all();
+        let _g = serial();
         let db = paper_db();
         let want = mine_reference(&db, 2);
         let dir = temp_dir("enospc");
@@ -1389,8 +1407,7 @@ mod tests {
 
     #[test]
     fn transient_write_faults_are_absorbed_by_retries() {
-        let _g = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm_all();
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("retry");
         fault::arm_str("spill.write:2:io").unwrap();
@@ -1432,13 +1449,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The fault registry is process-global; tests that arm it serialize.
-    static FAULTS: Mutex<()> = Mutex::new(());
-
-    use std::sync::Mutex;
-
     #[test]
     fn policies_and_toggles_agree_with_reference() {
+        let _g = serial();
         let db = paper_db();
         let dir = temp_dir("pol");
         let policies = [
