@@ -2,7 +2,7 @@
 //!
 //! | code | class  | meaning                                             |
 //! |------|--------|-----------------------------------------------------|
-//! | 0    | —      | success                                             |
+//! | 0    | —      | success, or stdout's reader went away mid-write     |
 //! | 1    | other  | I/O failures and everything unclassified            |
 //! | 2    | usage  | bad command line (unknown command, missing flag, …) |
 //! | 3    | parse  | malformed input data or corrupt checkpoint          |
@@ -27,12 +27,16 @@ pub enum CliError {
     Budget(String),
     /// Everything else, e.g. I/O failures (exit 1).
     Other(String),
+    /// Stdout's reader went away, as under `fim mine … | head -1`: the run
+    /// ends quietly (exit 0).
+    Closed,
 }
 
 impl CliError {
     /// The documented process exit code for this failure class.
     pub fn exit_code(&self) -> u8 {
         match self {
+            CliError::Closed => 0,
             CliError::Other(_) => 1,
             CliError::Usage(_) => 2,
             CliError::Parse(_) => 3,
@@ -47,6 +51,7 @@ impl fmt::Display for CliError {
             CliError::Usage(m) | CliError::Parse(m) | CliError::Budget(m) | CliError::Other(m) => {
                 f.write_str(m)
             }
+            CliError::Closed => f.write_str("stdout closed"),
         }
     }
 }
@@ -68,6 +73,13 @@ impl From<FimError> for CliError {
     }
 }
 
+/// A failed write to stdout or a report file: other class.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::from(FimError::from(e))
+    }
+}
+
 /// Shorthand for building a usage error that hints at `fim help`.
 pub fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(format!("{} (try 'fim help')", msg.into()))
@@ -80,6 +92,7 @@ mod tests {
 
     #[test]
     fn exit_codes_are_stable() {
+        assert_eq!(CliError::Closed.exit_code(), 0);
         assert_eq!(CliError::Other("x".into()).exit_code(), 1);
         assert_eq!(CliError::Usage("x".into()).exit_code(), 2);
         assert_eq!(CliError::Parse("x".into()).exit_code(), 3);

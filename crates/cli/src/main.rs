@@ -39,6 +39,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fim: {e}");
             ExitCode::from(e.exit_code())
@@ -48,8 +49,7 @@ fn main() -> ExitCode {
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = argv.split_first() else {
-        print_help();
-        return Ok(());
+        return print_help();
     };
     let args = Args::parse(rest)?;
     // the deterministic fault layer (crash-consistency testing): armed
@@ -68,16 +68,13 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "stats" => cmd_stats(&args),
         "compare" => cmd_compare(&args),
         "trace-export" => cmd_trace_export(&args),
-        "algos" => {
+        "algos" => write_stdout(|w| {
             for name in fim_bench::all_miner_names() {
-                println!("{name}");
+                writeln!(w, "{name}")?;
             }
             Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
+        }),
+        "help" | "--help" | "-h" => print_help(),
         other => Err(usage(format!("unknown command '{other}'"))),
     }
 }
@@ -237,12 +234,8 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     obs.span_exit();
 
     obs.span_enter("report");
-    // the dense result is dropped as soon as it is decoded
-    let outcome = outcome.map_result(|r| {
-        let mut decoded = r.decode(recoded.recode());
-        decoded.canonicalize();
-        decoded
-    });
+    // decoded in place, so no dense copy outlives the finish step
+    let outcome = outcome.map_result(|r| r.finish(&recoded.recode().item_to_old));
     drop(recoded);
     let (mut result, degradation, trip) = match outcome {
         MineOutcome::Complete {
@@ -668,11 +661,6 @@ fn cmd_mine_oocore(args: &Args, algo: &str) -> Result<(), CliError> {
     let resume = args.flag("resume-spill");
     let budget = budget_from(args)?;
     let obs_args = ObsArgs::from_args(args)?;
-    if obs_args.any() && !budget.is_unlimited() {
-        return Err(usage(
-            "--stats/--metrics cannot be combined with budget flags",
-        ));
-    }
     let limits = fim_io::FimiLimits::default();
     let counts = fim_io::count_fimi_path(input, &limits)?;
     let supp = resolve_supp_n(args, counts.transactions)?;
@@ -854,38 +842,91 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let freq = db.item_frequencies();
     let nonzero = freq.iter().filter(|&&f| f > 0).count();
     let max_len = db.transactions().iter().map(|t| t.len()).max().unwrap_or(0);
-    println!("transactions       {}", db.num_transactions());
-    println!("items (catalog)    {}", db.num_items());
-    println!("items (occurring)  {nonzero}");
-    println!("occurrences        {}", db.total_occurrences());
-    println!(
-        "avg tx length      {:.2}",
-        db.total_occurrences() as f64 / db.num_transactions().max(1) as f64
-    );
-    println!("max tx length      {max_len}");
-    println!(
-        "density            {:.5}",
-        db.total_occurrences() as f64
-            / (db.num_transactions().max(1) * db.num_items().max(1)) as f64
-    );
-    Ok(())
+    write_stdout(|w| {
+        writeln!(w, "transactions       {}", db.num_transactions())?;
+        writeln!(w, "items (catalog)    {}", db.num_items())?;
+        writeln!(w, "items (occurring)  {nonzero}")?;
+        writeln!(w, "occurrences        {}", db.total_occurrences())?;
+        writeln!(
+            w,
+            "avg tx length      {:.2}",
+            db.total_occurrences() as f64 / db.num_transactions().max(1) as f64
+        )?;
+        writeln!(w, "max tx length      {max_len}")?;
+        writeln!(
+            w,
+            "density            {:.5}",
+            db.total_occurrences() as f64
+                / (db.num_transactions().max(1) * db.num_items().max(1)) as f64
+        )?;
+        Ok(())
+    })
 }
 
+/// Runs `f` over the `--out` file, or over stdout ([`write_stdout`]) when
+/// there is none, and flushes the sink, so a failed last write is an
+/// error rather than lost.
 fn write_out<F>(args: &Args, f: F) -> Result<(), CliError>
 where
     F: FnOnce(&mut dyn Write) -> Result<(), CliError>,
 {
     match args.get("out") {
-        Some("-") | None => {
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            f(&mut lock)
-        }
+        Some("-") | None => write_stdout(f),
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| CliError::Other(e.to_string()))?;
             let mut w = std::io::BufWriter::new(file);
-            f(&mut w)
+            f(&mut w)?;
+            w.flush()
+                .map_err(|e| CliError::Other(format!("cannot write {path}: {e}")))
         }
+    }
+}
+
+/// Runs `f` over a buffered stdout and flushes it. A stdout whose reader
+/// has gone (`fim mine … | head -1`) ends the run quietly with
+/// [`CliError::Closed`].
+fn write_stdout<F>(f: F) -> Result<(), CliError>
+where
+    F: FnOnce(&mut dyn Write) -> Result<(), CliError>,
+{
+    let mut w = std::io::BufWriter::new(StdoutSink {
+        inner: std::io::stdout().lock(),
+        closed: false,
+    });
+    let written = f(&mut w).and_then(|()| {
+        w.flush()
+            .map_err(|e| CliError::Other(format!("cannot write stdout: {e}")))
+    });
+    if w.get_ref().closed {
+        return Err(CliError::Closed);
+    }
+    written
+}
+
+/// Stdout that remembers whether a write found its reader gone.
+struct StdoutSink<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W: Write> StdoutSink<W> {
+    fn note<T>(&mut self, r: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &r {
+            self.closed |= e.kind() == std::io::ErrorKind::BrokenPipe;
+        }
+        r
+    }
+}
+
+impl<W: Write> Write for StdoutSink<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let r = self.inner.write(buf);
+        self.note(r)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let r = self.inner.flush();
+        self.note(r)
     }
 }
 
@@ -938,9 +979,11 @@ fn cmd_trace_export(args: &Args) -> Result<(), CliError> {
     })
 }
 
-fn print_help() {
-    println!(
-        "fim — closed frequent item set mining by intersecting transactions
+fn print_help() -> Result<(), CliError> {
+    write_stdout(|w| {
+        writeln!(
+            w,
+            "fim — closed frequent item set mining by intersecting transactions
 
 USAGE:
   fim mine  --supp N | --supp-rel F   [--algo NAME] [--in FILE] [--out FILE]
@@ -1059,11 +1102,13 @@ USAGE:
 FILE defaults to stdin/stdout ('-'). Algorithms: run 'fim algos'.
 
 EXIT CODES:
-  0  success
+  0  success, also when stdout's reader stops early (fim mine ... | head)
   1  I/O or other failure (including an injected fault of kind io)
   2  usage error (bad command line, unknown fault point)
   3  parse error (malformed input, corrupt checkpoint, foreign manifest)
   4  a resource budget tripped or the disk filled up (partial results
      were still written; disk-full leaves a --resume-spill manifest)"
-    );
+        )?;
+        Ok(())
+    })
 }

@@ -259,3 +259,47 @@ fn missing_input_file_exits_1() {
     let out = fim(&["mine", "--supp", "1", "--in", "/nonexistent/nowhere.fimi"]);
     assert_eq!(code(&out), 1, "{}", stderr(&out));
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let input = data("valid.fimi");
+    for args in [
+        &["mine", "--supp", "1", "--in", &input][..],
+        &["stats", "--in", &input],
+        &["algos"],
+        &["help"],
+    ] {
+        // the pipe's only reader is gone before fim writes, as after
+        // `fim mine … | head -1` has read its line
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_fim"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn fim");
+        assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), "", "{args:?}");
+    }
+}
+
+#[test]
+fn write_error_on_out_file_exits_1() {
+    // every write to /dev/full fails with ENOSPC; the result is too small
+    // to fill a buffer, so only the final flush can report it
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("no /dev/full here; skipping");
+        return;
+    }
+    let out = fim(&[
+        "mine",
+        "--supp",
+        "1",
+        "--in",
+        &data("valid.fimi"),
+        "--out",
+        "/dev/full",
+    ]);
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert!(stderr(&out).contains("/dev/full"), "{}", stderr(&out));
+}

@@ -372,6 +372,51 @@ fn tripped_budget_writes_metrics_and_ledger() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The out-of-core path reports a tripped run too: `--timeout 0` exits 4
+/// with a valid metrics document and one ledger line naming the trip.
+#[test]
+fn out_of_core_tripped_budget_writes_metrics_and_ledger() {
+    let dir = std::env::temp_dir().join(format!("fim_oocore_trip_obs_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("spill")).unwrap();
+    let input = dir.join("data.fimi");
+    std::fs::write(&input, DATA).unwrap();
+    let (metrics, ledger, out) = (dir.join("m.json"), dir.join("l.jsonl"), dir.join("out.txt"));
+    let run = run_fim(&[
+        "mine",
+        "--supp",
+        "3",
+        "--in",
+        input.to_str().unwrap(),
+        "--out-of-core",
+        "--mem-budget",
+        "100000",
+        "--spill-dir",
+        dir.join("spill").to_str().unwrap(),
+        "--timeout",
+        "0",
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        run.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(out.exists(), "the partial result must be written");
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    fim_obs::validate_metrics_json(&doc).unwrap_or_else(|e| panic!("{e}"));
+    let entries = fim_obs::read_ledger(&std::fs::read_to_string(&ledger).unwrap()).unwrap();
+    assert_eq!(entries.len(), 1);
+    assert_ne!(entries[0].exit, "ok");
+    assert_eq!(entries[0].algo, "ista-oocore");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Observability combines with every miner, with budget flags, and with
 /// constraints on the parallel miner; each run mines what the plain run
 /// mines.

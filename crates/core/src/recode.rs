@@ -6,7 +6,8 @@
 //! result is a [`RecodedDatabase`] with dense item codes `0..num_items` in
 //! the requested [`ItemOrder`] and transactions in the requested
 //! [`TransactionOrder`]. Mined results are translated back to the raw codes
-//! of the source [`TransactionDatabase`] via [`Recode`].
+//! of the source [`TransactionDatabase`] through [`Recode::item_to_old`] by
+//! [`MiningResult::finish`](crate::MiningResult::finish).
 //!
 //! Removing items with frequency below the minimum support is lossless for
 //! *frequent* closed sets: a closed set containing an infrequent item has at
@@ -32,11 +33,6 @@ pub struct Recode {
 }
 
 impl Recode {
-    /// Translates an item set over new codes back to raw catalog codes.
-    pub fn decode_items(&self, items: &ItemSet) -> ItemSet {
-        ItemSet::new(items.iter().map(|i| self.item_to_old[i as usize]).collect())
-    }
-
     /// Translates an item set over raw catalog codes to new codes.
     ///
     /// Returns `None` if any item of the set was filtered out.
@@ -139,11 +135,6 @@ impl StreamingRecode {
     /// The minimum support the recoding was fixed for.
     pub fn minsupp_used(&self) -> u32 {
         self.minsupp_used
-    }
-
-    /// Translates an item set over dense codes back to raw catalog codes.
-    pub fn decode_items(&self, items: &ItemSet) -> ItemSet {
-        ItemSet::new(items.iter().map(|i| self.item_to_old[i as usize]).collect())
     }
 }
 
@@ -415,6 +406,7 @@ impl Density {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FoundSet, MiningResult};
 
     fn paper_db() -> TransactionDatabase {
         TransactionDatabase::from_named(&[
@@ -503,8 +495,10 @@ mod tests {
         );
         let raw = ItemSet::from([1, 2, 3]); // b,c,d
         let enc = r.recode().encode_items(&raw).unwrap();
-        let dec = r.recode().decode_items(&enc);
-        assert_eq!(dec, raw);
+        let dense = MiningResult {
+            sets: vec![FoundSet::new(enc, 1)],
+        };
+        assert_eq!(dense.decode(r.recode()).sets[0].items, raw);
     }
 
     #[test]
@@ -601,8 +595,11 @@ mod tests {
         assert!(sr.encode_transaction(&[0, 1, 9], &mut buf));
         assert_eq!(buf, vec![1]);
         assert!(!sr.encode_transaction(&[1, 9], &mut buf));
+        let dense = MiningResult {
+            sets: vec![FoundSet::new(ItemSet::from([0, 1]), 2)],
+        };
         assert_eq!(
-            sr.decode_items(&ItemSet::from([0, 1])),
+            dense.into_decoded(sr.item_to_old()).sets[0].items,
             ItemSet::from([0, 2])
         );
     }

@@ -2,8 +2,8 @@
 //! Galois laws, representation consistency, and recoding invariants.
 
 use fim_core::{
-    closure, cover, galois, itemset, BitMatrix, ItemOrder, ItemSet, RecodedDatabase,
-    SuffixCountMatrix, TidLists, TransactionDatabase, TransactionOrder,
+    closure, cover, galois, itemset, BitMatrix, FoundSet, ItemOrder, ItemSet, MiningResult,
+    RecodedDatabase, SuffixCountMatrix, TidLists, TransactionDatabase, TransactionOrder,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,8 +19,67 @@ fn db_strategy() -> impl Strategy<Value = RecodedDatabase> {
     })
 }
 
+/// A dense → raw table over `d` codes, one-to-one into a raw universe of
+/// `d + extra` codes: shuffled by `seed` (`shape` 0), ascending (1), or
+/// descending (2).
+fn decode_table(d: u32, extra: u32, seed: u64, shape: u32) -> Vec<u32> {
+    let mut raw: Vec<u32> = (0..d + extra).collect();
+    let mut state = seed | 1;
+    for i in (1..raw.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        raw.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    raw.truncate(d as usize);
+    match shape {
+        0 => {}
+        1 => raw.sort_unstable(),
+        _ => raw.sort_unstable_by(|a, b| b.cmp(a)),
+    }
+    raw
+}
+
+/// A table and a dense result over it whose sets are short (sorted by the
+/// decoder) or long (sorted through its bitmap), over universes of every
+/// size, most not a multiple of 64.
+fn decode_case() -> impl Strategy<Value = (Vec<u32>, MiningResult)> {
+    (1u32..700, 0u32..300, any::<u64>(), 0u32..3)
+        .prop_flat_map(|(d, extra, seed, shape)| {
+            let long = (d as usize).min(300);
+            let set = prop_oneof![vec(0..d, 0..=4), vec(0..d, 0..=long)];
+            (
+                Just(decode_table(d, extra, seed, shape)),
+                vec((set, any::<u32>()), 0..24),
+            )
+        })
+        .prop_map(|(table, sets)| {
+            let mut seen = std::collections::BTreeSet::new();
+            let result = sets
+                .into_iter()
+                .map(|(items, supp)| FoundSet::new(ItemSet::new(items), supp))
+                .filter(|s| seen.insert(s.items.clone()))
+                .collect();
+            (table, result)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn in_place_decode_matches_per_set_decode(case in decode_case()) {
+        let (table, dense) = case;
+        // the per-set decode the in-place kernel replaced: map, then sort
+        let old: MiningResult = dense
+            .sets
+            .iter()
+            .map(|s| FoundSet::new(ItemSet::new(s.items.iter().map(|i| table[i as usize]).collect()), s.support))
+            .collect();
+        let decoded = dense.clone().into_decoded(&table);
+        prop_assert_eq!(&decoded, &old);
+        prop_assert_eq!(dense.finish(&table), old.canonicalized());
+    }
 
     #[test]
     fn itemset_lattice_laws(a in itemset_strategy(12), b in itemset_strategy(12), c in itemset_strategy(12)) {

@@ -26,8 +26,7 @@ use crate::manifest::{
 };
 use fim_core::fault::{self, points};
 use fim_core::{
-    Budget, FimError, FoundSet, Item, ItemCatalog, ItemOrder, MineOutcome, MiningResult,
-    StreamingRecode, TripReason,
+    Budget, FimError, Item, ItemCatalog, ItemOrder, MineOutcome, StreamingRecode, TripReason,
 };
 use fim_ista::{AdoptedSpill, OutOfCoreConfig, OutOfCoreMiner, OutOfCoreStats, ResumePlan};
 use fim_obs::Obs;
@@ -277,20 +276,7 @@ pub fn mine_fimi_with_counts_opts<P: AsRef<Path>>(
         // the spill guard removed the files; the manifest goes with them
         let _ = fs::remove_file(&manifest_path);
     }
-    let outcome = outcome.map_result(|r| {
-        let mut decoded = MiningResult {
-            sets: r
-                .sets
-                .into_iter()
-                .map(|fs| FoundSet {
-                    items: recode.decode_items(&fs.items),
-                    support: fs.support,
-                })
-                .collect(),
-        };
-        decoded.canonicalize();
-        decoded
-    });
+    let outcome = outcome.map_result(|r| r.finish(recode.item_to_old()));
     Ok(OutOfCoreRun {
         outcome,
         stats,
